@@ -347,6 +347,10 @@ pub struct Vmm {
     /// Most recent runtime fault, for host diagnostics. Cleared when a
     /// subsequent chain run completes without faulting.
     last_error: Option<(String, VmError)>,
+    /// Verify+pre-decode passes this VMM performed (one per extension,
+    /// at load). The process-wide [`verify_load_count`] sums these across
+    /// every VMM.
+    verify_loads: u64,
     /// Extensions evicted by the circuit breaker since load.
     quarantines: u64,
     /// Commit-time host failures (should be zero: `check_op` validates
@@ -387,6 +391,7 @@ impl Vmm {
             vm_config: VmConfig::default(),
             engine: Engine::default(),
             last_error: None,
+            verify_loads: 0,
             quarantines: 0,
             commit_faults: 0,
             points: Default::default(),
@@ -422,6 +427,7 @@ impl Vmm {
             let loaded = verify_and_load_with(&prog, &ids, &opts)
                 .map_err(|error| VmmError::Rejected { extension: spec.name.clone(), error })?;
             VERIFY_LOADS.fetch_add(1, Ordering::Relaxed);
+            vmm.verify_loads += 1;
             let idx = vmm.exts.len();
             let group = if spec.program.is_empty() {
                 spec.name.clone()
@@ -482,6 +488,13 @@ impl Vmm {
             vmm.attached[point_index(spec.insertion_point)].push(idx);
         }
         Ok(vmm)
+    }
+
+    /// Verify+pre-decode passes this VMM performed. Unlike the global
+    /// [`verify_load_count`], this is unaffected by VMMs loading on other
+    /// threads.
+    pub fn verify_loads(&self) -> u64 {
+        self.verify_loads
     }
 
     /// An empty VMM: every insertion point falls back to native code.
@@ -1391,16 +1404,18 @@ mod tests {
         let mut m = Manifest::new();
         m.push(spec("a", InsertionPoint::BgpInboundFilter, &[], "mov r0, 1\nexit"));
         m.push(spec("b", InsertionPoint::BgpDecision, &[], "mov r0, 1\nexit"));
-        let before = verify_load_count();
+        // Counted per VMM: sibling tests load VMMs in parallel, so deltas
+        // of the process-wide counter would race.
         let mut vmms: Vec<Vmm> = (0..4).map(|_| Vmm::from_manifest(&m).expect("loads")).collect();
-        assert_eq!(verify_load_count() - before, 4 * 2);
+        let loads = |vmms: &[Vmm]| vmms.iter().map(Vmm::verify_loads).sum::<u64>();
+        assert_eq!(loads(&vmms), 4 * 2);
         let mut host = MockHost::default();
         for vmm in &mut vmms {
             for _ in 0..10 {
                 vmm.run(InsertionPoint::BgpInboundFilter, &mut host);
             }
         }
-        assert_eq!(verify_load_count() - before, 4 * 2, "runs never re-verify");
+        assert_eq!(loads(&vmms), 4 * 2, "runs never re-verify");
     }
 
     #[test]

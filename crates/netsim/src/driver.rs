@@ -10,9 +10,9 @@
 //! the outbound bytes back out.
 //!
 //! This is the seam the `xbgp-serve` TCP runtime plugs into: each shard
-//! core owns one `NodeDriver` wrapping a daemon, the accept loop's
-//! session tasks feed wire frames in over mpsc, and whatever the daemon
-//! sends on its links is fanned back out to the sockets. The daemon
+//! core owns one `NodeDriver` wrapping a daemon, the runtime's event loop
+//! feeds the sessions' wire frames in over a channel, and whatever the
+//! daemon sends on its links is fanned back out to the sockets. The daemon
 //! remains the untouched single-threaded `Rc`-based implementation that
 //! runs under `netsim` in the test harness.
 //!

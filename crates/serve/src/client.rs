@@ -1,32 +1,30 @@
-//! Loopback BGP client used by the selftest and the peer-scaling bench.
+//! Loopback BGP clients used by the selftest and the peer-scaling bench.
 //!
-//! Each client owns one TCP connection and its own [`xbgp_wire::Session`]
-//! FSM (the handshake is symmetric, so edge-vs-edge works). After
-//! Established it pushes its assigned UPDATE frames — optionally paced —
-//! and then **stays connected** until told to stop: disconnecting early
-//! would make the daemon tear the slot down and flush the routes this
-//! client announced, destroying Loc-RIB parity.
+//! Every client is one [`Conn`] — the same socket + FSM + out buffer type
+//! the server's event loop uses (the handshake is symmetric, so
+//! edge-vs-edge works) — and [`spawn`] drives all of them from a single
+//! thread blocked in `poll`. After Established a client pushes its
+//! assigned UPDATE frames — optionally paced — and then **stays
+//! connected** until [`Clients::stop`]: disconnecting early would make
+//! the daemon tear the slot down and flush the routes this client
+//! announced, destroying Loc-RIB parity.
 //!
-//! Two rules keep hundreds of concurrent blasting sessions deadlock-free
-//! without nonblocking writes:
-//!
-//! 1. inbound is drained to empty before every write burst (the server
-//!    fans each best-path change to every established peer; a client that
-//!    stops reading eventually stalls TCP in both directions), and
-//! 2. write bursts are bounded ([`WRITE_BURST`] frames), so neither side
-//!    ever sits in a `write_all` larger than the loopback socket buffers
-//!    while the peer is doing the same.
+//! Nothing blocks on a write, so no ordering rule between reads and
+//! writes is needed to stay deadlock-free: the server fans each best-path
+//! change to every established peer, and the driver keeps reading those
+//! exports while its own frames wait for the socket to accept them.
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use xbgp_wire::{Session, SessionConfig, SessionEvent, SessionState};
+use xbgp_wire::{SessionConfig, SessionEvent};
 
-/// Maximum frames per write burst between inbound drains.
-const WRITE_BURST: usize = 32;
+use crate::conn::Conn;
+use crate::poll::{self, PollFd, WakeRx, Waker};
 
 /// What one client pushes after establishing.
 pub struct ClientPlan {
@@ -50,114 +48,179 @@ pub struct ClientOutcome {
     pub closed_early: bool,
 }
 
-/// Connect, handshake, push the plan, then hold the session open until
-/// `stop` flips. Returns what happened for assertions upstream.
-pub fn run(
-    addr: SocketAddr,
-    asn: u32,
-    router_id: u32,
-    plan: ClientPlan,
-    stop: &AtomicBool,
-) -> std::io::Result<ClientOutcome> {
-    let mut stream = connect_with_retry(addr, Duration::from_secs(10))?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(Duration::from_millis(1)))?;
-
-    let epoch = Instant::now();
-    let now = move || epoch.elapsed().as_nanos() as u64;
-    let mut fsm = Session::new(SessionConfig {
-        local_asn: asn,
-        router_id,
-        hold_time_secs: 90,
-        expect_asn: None,
-    });
-    let mut out = ClientOutcome::default();
-
-    for ev in fsm.start(now()) {
-        if let SessionEvent::Send(bytes) = ev {
-            stream.write_all(&bytes)?;
-        }
-    }
-
-    let mut buf = [0u8; 16 * 1024];
-    let mut pending: VecDeque<Vec<u8>> = VecDeque::new();
-    let mut loaded_initial = false;
-    let mut next_round = 0usize;
-    let mut next_round_at = Instant::now();
-
-    'conn: loop {
-        // Drain inbound to empty before doing anything else.
-        let mut events = Vec::new();
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    out.closed_early = !stop.load(Ordering::Relaxed);
-                    break 'conn;
-                }
-                Ok(n) => events.extend(fsm.on_bytes(now(), &buf[..n])),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        events.extend(fsm.tick(now()));
-
-        let mut closed = false;
-        for ev in events {
-            match ev {
-                SessionEvent::Send(bytes) => stream.write_all(&bytes)?,
-                SessionEvent::Established { .. } => out.established = true,
-                SessionEvent::Update(_) => out.frames_rx += 1,
-                SessionEvent::Closed(_) => closed = true,
-            }
-        }
-        if closed {
-            out.closed_early = !stop.load(Ordering::Relaxed);
-            break;
-        }
-
-        if out.established && !loaded_initial {
-            pending.extend(plan.initial.iter().cloned());
-            loaded_initial = true;
-            next_round_at = Instant::now();
-        }
-        if loaded_initial
-            && pending.is_empty()
-            && next_round < plan.rounds.len()
-            && Instant::now() >= next_round_at
-        {
-            pending.extend(plan.rounds[next_round].iter().cloned());
-            next_round += 1;
-            if let Some(gap) = plan.round_gap {
-                next_round_at = Instant::now() + gap;
-            }
-        }
-
-        for _ in 0..WRITE_BURST {
-            let Some(frame) = pending.pop_front() else {
-                break;
-            };
-            stream.write_all(&frame)?;
-            out.frames_sent += 1;
-        }
-
-        if stop.load(Ordering::Relaxed) {
-            if !matches!(fsm.state(), SessionState::Closed) {
-                for ev in fsm.shutdown() {
-                    if let SessionEvent::Send(bytes) = ev {
-                        let _ = stream.write_all(&bytes);
-                    }
-                }
-            }
-            break;
-        }
-    }
-
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    Ok(out)
+/// A running set of clients and the thread that drives them.
+pub struct Clients {
+    stop: Arc<AtomicBool>,
+    wake: Arc<Waker>,
+    driver: JoinHandle<io::Result<Vec<ClientOutcome>>>,
 }
 
-fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
+impl Clients {
+    /// Send Cease on every session still open, close them, and return
+    /// each client's outcome in plan order. Fails if a client never
+    /// connected.
+    pub fn stop(self) -> io::Result<Vec<ClientOutcome>> {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake.wake();
+        self.driver.join().expect("client driver thread")
+    }
+}
+
+/// Connect one client per plan to `addr` and drive them all from one
+/// thread. Client `k` presents ASN `asn` and router id `1000 + k`.
+pub fn spawn(addr: SocketAddr, asn: u32, plans: Vec<ClientPlan>) -> io::Result<Clients> {
+    let (wake, wake_rx) = poll::waker()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let driver = {
+        let stop = Arc::clone(&stop);
+        std::thread::Builder::new()
+            .name("xbgp-clients".into())
+            .spawn(move || drive(addr, asn, plans, &stop, &wake_rx))?
+    };
+    Ok(Clients { stop, wake, driver })
+}
+
+struct Client {
+    conn: Conn,
+    plan: ClientPlan,
+    outcome: ClientOutcome,
+    next_round: usize,
+    /// When the next round may go out (set once Established).
+    round_due: u64,
+    /// The session is over; the socket is left alone.
+    done: bool,
+}
+
+impl Client {
+    /// When this client next has a round to queue, if it is only
+    /// waiting on the clock.
+    fn round_deadline(&self) -> Option<u64> {
+        let waiting = self.outcome.established
+            && self.conn.pending() == 0
+            && self.next_round < self.plan.rounds.len();
+        waiting.then_some(self.round_due)
+    }
+
+    /// One pass: read, fire timers, queue what the plan has due, write.
+    fn step(&mut self, pfd: &PollFd, now: u64, events: &mut Vec<SessionEvent>) {
+        let mut open = true;
+        if pfd.readable() {
+            open = matches!(self.conn.read(now, events), Ok(true));
+        }
+        if self.conn.next_deadline().is_some_and(|d| d <= now) {
+            self.conn.tick(now, events);
+        }
+        for ev in events.drain(..) {
+            match ev {
+                SessionEvent::Established { .. } => {
+                    self.outcome.established = true;
+                    self.round_due = now;
+                    for frame in std::mem::take(&mut self.plan.initial) {
+                        self.send(frame);
+                    }
+                }
+                SessionEvent::Update(_) => self.outcome.frames_rx += 1,
+                SessionEvent::Closed(_) => open = false,
+                SessionEvent::Send(_) => unreachable!("Conn queues its own sends"),
+            }
+        }
+        open = open && self.conn.flush().is_ok();
+        // A round goes out once the previous one is fully written.
+        while open && self.round_deadline().is_some_and(|due| due <= now) {
+            for frame in std::mem::take(&mut self.plan.rounds[self.next_round]) {
+                self.send(frame);
+            }
+            self.next_round += 1;
+            let gap = self.plan.round_gap.map_or(0, |g| g.as_nanos() as u64);
+            self.round_due = now + gap;
+            open = self.conn.flush().is_ok();
+        }
+        if !open {
+            self.outcome.closed_early = true;
+            self.done = true;
+        }
+    }
+
+    fn send(&mut self, frame: Vec<u8>) {
+        self.conn.queue(frame);
+        self.outcome.frames_sent += 1;
+    }
+}
+
+fn drive(
+    addr: SocketAddr,
+    asn: u32,
+    plans: Vec<ClientPlan>,
+    stop: &AtomicBool,
+    wake: &WakeRx,
+) -> io::Result<Vec<ClientOutcome>> {
+    let epoch = Instant::now();
+    let now = || epoch.elapsed().as_nanos() as u64;
+    let mut clients = Vec::new();
+    for (k, plan) in plans.into_iter().enumerate() {
+        let stream = connect_with_retry(addr, Duration::from_secs(10))?;
+        let mut conn = Conn::new(
+            stream,
+            SessionConfig {
+                local_asn: asn,
+                router_id: 1000 + k as u32,
+                hold_time_secs: 90,
+                expect_asn: None,
+            },
+        )?;
+        conn.start(now());
+        conn.flush()?;
+        clients.push(Client {
+            conn,
+            plan,
+            outcome: ClientOutcome::default(),
+            next_round: 0,
+            round_due: 0,
+            done: false,
+        });
+    }
+
+    let mut fds = Vec::new();
+    let mut events = Vec::new();
+    loop {
+        fds.clear();
+        fds.push(wake.poll_fd());
+        let mut deadline: Option<u64> = None;
+        for c in &clients {
+            if c.done {
+                fds.push(PollFd::IGNORE);
+                continue;
+            }
+            fds.push(c.conn.poll_fd(true));
+            for d in [c.conn.next_deadline(), c.round_deadline()].into_iter().flatten() {
+                deadline = Some(deadline.map_or(d, |x| x.min(d)));
+            }
+        }
+        poll::wait(&mut fds, poll::timeout_ms(deadline, now()))?;
+        if fds[0].readable() {
+            wake.drain().rearm();
+        }
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let now = now();
+        for (c, pfd) in clients.iter_mut().zip(&fds[1..]) {
+            if !c.done {
+                c.step(pfd, now, &mut events);
+            }
+        }
+    }
+
+    for c in &mut clients {
+        if !c.done {
+            c.conn.shutdown();
+            let _ = c.conn.flush();
+        }
+    }
+    Ok(clients.into_iter().map(|c| c.outcome).collect())
+}
+
+fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + timeout;
     loop {
         match TcpStream::connect(addr) {

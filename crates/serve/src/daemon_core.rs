@@ -1,11 +1,19 @@
 //! The shard core: one daemon on a [`netsim::NodeDriver`], fed by the
-//! session tasks over an mpsc channel.
+//! event loop over a bounded channel.
 //!
 //! Each core owns a complete single-threaded daemon (fir or wren, behind
 //! the [`xbgp_driver::Daemon`] seam) with one neighbor slot per session,
-//! numbered `LinkId(0)..LinkId(slots)`. Session tasks never touch the
-//! daemon — they send [`CoreMsg`]s; the core thread is the only place
-//! the `Rc`-based daemon state lives.
+//! numbered `LinkId(0)..LinkId(slots)`. The loop never touches the
+//! daemon — it sends [`CoreMsg`]s; the core thread is the only place the
+//! `Rc`-based daemon state lives.
+//!
+//! Both directions are bounded or paced by the loop. Inbound, the queue
+//! is a `sync_channel` and the loop hands a core at most [`CORE_QUEUE`]
+//! frame batches at a time; taking a batch off a full queue wakes the
+//! loop so it resumes the sessions it parked. Outbound, frames go to the
+//! owning session's outbox and the core wakes the loop once per message
+//! that forwarded any, so exports are written without waiting for a poll
+//! timeout.
 //!
 //! Session liveness belongs to the edge FSMs ([`xbgp_wire::Session`]),
 //! not the daemon: when a session establishes, the core injects a
@@ -15,7 +23,8 @@
 //! are consumed at the core boundary; only UPDATE and NOTIFICATION
 //! frames fan back out to the sockets.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -26,13 +35,22 @@ use xbgp_obs::{Histogram, Snapshot};
 use xbgp_wire::msg::deframe;
 use xbgp_wire::{Ipv4Prefix, Message, MsgReader, MsgType, OpenMsg};
 
+use crate::poll::Waker;
+
+/// Frame batches one core may have queued and not yet taken. The loop
+/// parks a session's next batch rather than exceed it, and stops reading
+/// that session until the core catches up, so a slow core pushes back on
+/// TCP instead of growing memory.
+pub const CORE_QUEUE: usize = 16;
+
 /// Neighbor address of session slot `slot` in the daemon's config — the
 /// identity [`xbgp_driver::Daemon::session_established`] is queried by.
 pub fn slot_addr(slot: usize) -> u32 {
     0x0a00_0001 + slot as u32
 }
 
-/// What a session task asks of a shard core.
+/// What the event loop (or a [`crate::Server`] query) asks of a shard
+/// core.
 pub enum CoreMsg {
     /// The edge FSM reached Established: bring the daemon's session slot
     /// up and register where outbound frames for this session go.
@@ -83,22 +101,44 @@ pub struct CoreConfig {
     pub metrics: bool,
 }
 
-/// Spawn one shard core thread. `latency` receives one observation per
-/// delivered UPDATE frame: runtime-clock ns from socket read to the
-/// daemon having applied it (queue wait + decode + RIB work).
-pub fn spawn(
-    cfg: CoreConfig,
-    rx: Receiver<CoreMsg>,
-    latency: Arc<Histogram>,
-    epoch: Instant,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("xbgp-core-{}", cfg.router_id))
-        .spawn(move || run(cfg, rx, latency, epoch))
-        .expect("spawn core thread")
+/// The sending side of one core: its queue and the count of frame
+/// batches in it.
+pub struct CoreQueue {
+    pub tx: SyncSender<CoreMsg>,
+    /// [`CoreMsg::Frames`] batches sent and not yet taken by the core.
+    /// Only the loop increments it, so a load followed by an increment
+    /// cannot overshoot [`CORE_QUEUE`].
+    pub queued: Arc<AtomicUsize>,
 }
 
-fn run(cfg: CoreConfig, rx: Receiver<CoreMsg>, latency: Arc<Histogram>, epoch: Instant) {
+/// Spawn one shard core thread. `latency` receives one observation per
+/// delivered UPDATE frame: runtime-clock ns from socket read to the
+/// daemon having applied it (queue wait + decode + RIB work). `wake`
+/// interrupts the event loop's `poll`.
+pub fn spawn(
+    cfg: CoreConfig,
+    latency: Arc<Histogram>,
+    epoch: Instant,
+    wake: Arc<Waker>,
+) -> (CoreQueue, JoinHandle<()>) {
+    let (tx, rx) = mpsc::sync_channel(CORE_QUEUE);
+    let queued = Arc::new(AtomicUsize::new(0));
+    let core_queued = Arc::clone(&queued);
+    let thread = std::thread::Builder::new()
+        .name(format!("xbgp-core-{}", cfg.router_id))
+        .spawn(move || run(cfg, rx, core_queued, latency, epoch, wake))
+        .expect("spawn core thread");
+    (CoreQueue { tx, queued }, thread)
+}
+
+fn run(
+    cfg: CoreConfig,
+    rx: Receiver<CoreMsg>,
+    queued: Arc<AtomicUsize>,
+    latency: Arc<Histogram>,
+    epoch: Instant,
+    wake: Arc<Waker>,
+) {
     let mut spec = DaemonSpec::new(cfg.asn, cfg.router_id);
     // The daemon proposes hold 0 too; either side's zero wins negotiation.
     spec.hold_time_secs = 0;
@@ -134,6 +174,11 @@ fn run(cfg: CoreConfig, rx: Receiver<CoreMsg>, latency: Arc<Histogram>, epoch: I
                 driver.deliver(now(), LinkId(slot), &ka);
             }
             CoreMsg::Frames { slot, frames, recv_ns } => {
+                // Taken off a full queue: the loop may have parked
+                // sessions behind this core.
+                if queued.fetch_sub(1, Ordering::SeqCst) == CORE_QUEUE {
+                    wake.wake();
+                }
                 for f in &frames {
                     driver.deliver(now(), LinkId(slot), f);
                     latency.observe(now().saturating_sub(recv_ns));
@@ -169,15 +214,23 @@ fn run(cfg: CoreConfig, rx: Receiver<CoreMsg>, latency: Arc<Histogram>, epoch: I
             }
             CoreMsg::Shutdown => break,
         }
-        flush(&mut driver, &mut readers, &outboxes);
+        if flush(&mut driver, &mut readers, &outboxes) {
+            wake.wake();
+        }
     }
 }
 
 /// Route everything the daemon emitted: UPDATE and NOTIFICATION frames go
 /// to the owning session's outbox (if one is registered); the daemon's
 /// own handshake frames are consumed here — the edge FSM already ran the
-/// real handshake on the wire.
-fn flush(driver: &mut NodeDriver, readers: &mut [MsgReader], outboxes: &[Option<Sender<Vec<u8>>>]) {
+/// real handshake on the wire. Returns whether any frame went to an
+/// outbox.
+fn flush(
+    driver: &mut NodeDriver,
+    readers: &mut [MsgReader],
+    outboxes: &[Option<Sender<Vec<u8>>>],
+) -> bool {
+    let mut forwarded = false;
     for (link, bytes) in driver.drain_outbound() {
         let slot = link.0;
         readers[slot].push(&bytes);
@@ -190,9 +243,10 @@ fn flush(driver: &mut NodeDriver, readers: &mut [MsgReader], outboxes: &[Option<
                 if let Some(tx) = &outboxes[slot] {
                     // A dropped receiver means the session died mid-flush;
                     // SessionDown will tear the slot shortly.
-                    let _ = tx.send(frame);
+                    forwarded |= tx.send(frame).is_ok();
                 }
             }
         }
     }
+    forwarded
 }

@@ -8,23 +8,30 @@
 //! [`xbgp_driver::DaemonSpec`], and speaks wire frames over `LinkId`s
 //! that now mean session slots instead of simulated cables.
 //!
-//! Layer map (one thread per box, wire frames on every edge):
+//! Layer map (wire frames on every edge between threads):
 //!
-//! * [`server`] — accept loop + per-session threads; each session runs a
-//!   real BGP FSM ([`xbgp_wire::Session`]: OPEN/KEEPALIVE/NOTIFICATION,
-//!   hold-timer enforcement, NOTIFY-and-close on malformed input).
-//! * [`daemon_core`] — one daemon per shard core on a `NodeDriver`,
-//!   owning a disjoint prefix slice; sessions fan validated UPDATE
-//!   frames in over mpsc channels, best-path changes fan back out.
+//! * [`server`] — one event loop thread owns the listener and every
+//!   session. It blocks in `poll(2)` ([`poll`]) until a socket is ready,
+//!   a core wakes it, or the next FSM deadline is due. Each session is a
+//!   [`conn::Conn`]: a nonblocking socket, a real BGP FSM
+//!   ([`xbgp_wire::Session`]: OPEN/KEEPALIVE/NOTIFICATION, hold-timer
+//!   enforcement, NOTIFY-and-close on malformed input) and an out buffer.
+//! * [`daemon_core`] — one thread per shard core, each a daemon on a
+//!   `NodeDriver` owning a disjoint prefix slice; the loop hands it
+//!   validated UPDATE frames over a bounded channel, and best-path
+//!   changes come back through per-session outboxes plus a wake byte.
 //! * [`split`] — cuts UPDATE frames along prefix-hash shard boundaries
 //!   without re-encoding attribute bytes.
-//! * [`client`] — loopback test peers; [`selftest`] — end-to-end parity
-//!   harness (TCP Loc-RIB ≡ netsim-replay Loc-RIB ≡ oracle);
-//!   [`bench`] — the peer-scaling grid behind `BENCH_peer_scaling.json`.
+//! * [`client`] — loopback test peers, all driven from one thread over
+//!   the same `Conn`; [`selftest`] — end-to-end parity harness (TCP
+//!   Loc-RIB ≡ netsim-replay Loc-RIB ≡ oracle); [`bench`](mod@bench) — the
+//!   peer-scaling grid behind `BENCH_peer_scaling.json`.
 
 pub mod bench;
 pub mod client;
+pub mod conn;
 pub mod daemon_core;
+pub mod poll;
 pub mod selftest;
 pub mod server;
 pub mod split;

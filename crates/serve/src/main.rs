@@ -148,7 +148,7 @@ fn selftest_json(outcomes: &[(Dut, SelftestSpec, SelftestOutcome)]) -> String {
              \"rounds\": {}, \"shards\": {}, \"updates\": {}, \"best_changes\": {}, \
              \"parity_mismatches\": {}, \"oracle_mismatches\": {}, \"loc_rib_len\": {}, \
              \"p50_latency_ns\": {}, \"p99_latency_ns\": {}, \"elapsed_ms\": {}, \
-             \"rejected\": {}, \"passed\": {}}}{}\n",
+             \"rejected\": {}, \"core_queue_high_water\": {}, \"passed\": {}}}{}\n",
             dut.slug(),
             spec.sessions,
             out.established,
@@ -164,6 +164,7 @@ fn selftest_json(outcomes: &[(Dut, SelftestSpec, SelftestOutcome)]) -> String {
             out.latency.quantile(0.99),
             out.elapsed.as_millis(),
             out.rejected,
+            out.core_queue_high_water,
             out.passed(spec),
             if i + 1 == outcomes.len() { "" } else { "," },
         ));

@@ -16,8 +16,6 @@
 //! single-feeder replay, and best-path selection is independent per
 //! prefix.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netsim::{Sim, SimConfig};
@@ -93,6 +91,9 @@ pub struct SelftestOutcome {
     pub elapsed: Duration,
     /// Connections the server dropped for lack of session slots.
     pub rejected: u64,
+    /// Most UPDATE batches any shard core had queued at once (bounded by
+    /// [`crate::server::CORE_QUEUE`]).
+    pub core_queue_high_water: usize,
 }
 
 impl SelftestOutcome {
@@ -158,24 +159,17 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
     .expect("bind loopback server");
     let addr = server.addr();
 
-    let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
-    let mut clients = Vec::new();
-    for (k, routes) in tables.into_iter().enumerate() {
-        let plan = ClientPlan {
+    let plans = tables
+        .into_iter()
+        .zip(&session_rounds)
+        .map(|(routes, rounds)| ClientPlan {
             initial: encode_all(to_updates(&routes, 1, None)),
-            rounds: session_rounds[k].iter().map(|r| encode_all(r.to_updates(1, None))).collect(),
+            rounds: rounds.iter().map(|r| encode_all(r.to_updates(1, None))).collect(),
             round_gap: spec.round_gap,
-        };
-        let stop = Arc::clone(&stop);
-        clients.push(
-            std::thread::Builder::new()
-                .name(format!("xbgp-client-{k}"))
-                .stack_size(256 * 1024)
-                .spawn(move || client::run(addr, 65001, 1000 + k as u32, plan, &stop))
-                .expect("spawn client"),
-        );
-    }
+        })
+        .collect();
+    let clients = client::spawn(addr, 65001, plans).expect("spawn client driver");
 
     // Wait until the daemons have absorbed exactly the logical stream.
     // Counter queries are barriers behind all frames already fanned in.
@@ -208,9 +202,8 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
     let latency = server.latency();
     let rejected = server.rejected();
 
-    stop.store(true, Ordering::SeqCst);
-    for c in clients {
-        let outcome = c.join().expect("client thread").expect("client io");
+    let core_queue_high_water = server.core_queue_high_water();
+    for outcome in clients.stop().expect("client io") {
         assert!(!outcome.closed_early, "client session closed before the run finished");
     }
     server.shutdown();
@@ -233,6 +226,7 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
         latency,
         elapsed,
         rejected,
+        core_queue_high_water,
     }
 }
 

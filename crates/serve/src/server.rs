@@ -1,45 +1,64 @@
-//! The TCP runtime: accept loop, per-session threads, shard cores.
+//! The TCP runtime: one event loop thread and one thread per shard core.
 //!
 //! Layering (one box per thread):
 //!
 //! ```text
-//!   accept loop ── spawns ──▶ session thread (per TCP peer)
-//!                               │  xbgp_wire::Session — real BGP FSM,
-//!                               │  hold timer, NOTIFY-and-close
-//!                               │
-//!                               │ CoreMsg over mpsc (wire frames)
-//!                               ▼
-//!                             shard core(s) — daemon on a NodeDriver
-//!                               │
-//!                               │ outbox mpsc (UPDATE frames out)
-//!                               ▼
-//!                             session thread writes to the socket
+//!   event loop — poll(2) over the listener, every session socket and a
+//!     │          wake socket; per session a Conn: socket +
+//!     │          xbgp_wire::Session FSM (hold timer, NOTIFY-and-close) +
+//!     │          out buffer
+//!     │
+//!     │ CoreMsg over a bounded sync_channel (wire frames)
+//!     ▼
+//!   shard core(s) — daemon on a NodeDriver
+//!     │
+//!     │ per-session outbox (UPDATE frames out) + one wake byte
+//!     ▼
+//!   event loop appends to the session's out buffer, writes nonblocking
 //! ```
 //!
-//! The daemon is never touched from more than one thread; sessions speak
+//! The loop blocks in `poll` until a socket is ready, a core wakes it, or
+//! the earliest FSM deadline (hold expiry or KEEPALIVE) is due; there is
+//! no fixed tick. Validated frames go to the cores on the pass that read
+//! them, and exports are written on the pass the core's wake arrives.
+//!
+//! Memory is bounded both ways. A core holds at most
+//! [`CORE_QUEUE`] frame batches; beyond that the loop parks the session's
+//! batch and stops reading that socket until the core catches up, so TCP
+//! pushes back on the peer. A session whose unwritten exports pass
+//! [`OUT_CAP`] is closed with Cease / Out of Resources (6, 8).
+//!
+//! The daemon is never touched from more than one thread; the loop speaks
 //! to it exclusively in wire frames. With `shards > 1` each UPDATE is cut
 //! along prefix-hash boundaries by [`crate::split::split_update`] and
 //! each piece goes to the core that owns those prefixes.
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use xbgp_driver::{DaemonCounters, Dut};
 use xbgp_obs::{Histogram, HistogramSnapshot, Snapshot};
-use xbgp_wire::{Ipv4Prefix, Session, SessionConfig, SessionEvent};
+use xbgp_wire::{Ipv4Prefix, Message, NotificationMsg, SessionConfig, SessionEvent};
 
+use crate::conn::Conn;
 use crate::daemon_core::{self, CoreConfig, CoreMsg, Query};
+use crate::poll::{self, PollFd, WakeRx, Waker, POLLIN};
 use crate::split::split_update;
 
-/// Maximum frames per write burst between inbound drains (see the
-/// deadlock note in [`crate::client`]).
-const WRITE_BURST: usize = 32;
+pub use crate::daemon_core::CORE_QUEUE;
+
+/// Unwritten bytes a session may hold for a peer that does not read its
+/// exports. Past this the session is closed with Cease / Out of
+/// Resources (6, 8) rather than buffering without limit.
+pub const OUT_CAP: usize = 4 << 20;
+/// How long a closed session may take to write its last frames (its
+/// NOTIFICATION) before the socket is dropped.
+const LINGER_NS: u64 = 2_000_000_000;
 
 /// Runtime configuration for one [`Server`].
 #[derive(Clone)]
@@ -78,25 +97,24 @@ impl ServeConfig {
     }
 }
 
+/// What the loop, the cores' callers and the [`Server`] handle share.
 struct Shared {
     cfg: ServeConfig,
-    cores: Vec<Sender<CoreMsg>>,
-    free_slots: Mutex<Vec<usize>>,
+    cores: Vec<SyncSender<CoreMsg>>,
     stop: AtomicBool,
-    epoch: Instant,
     latency: Arc<Histogram>,
-    /// Peak concurrent edge-established sessions (for reporting).
-    established_peak: AtomicU64,
-    established_now: AtomicU64,
     rejected: AtomicU64,
+    /// Most frame batches any core had queued at once.
+    queue_high_water: AtomicUsize,
 }
 
-/// A running many-peer runtime: owns the listener, the accept thread,
-/// every session thread, and one core thread per shard.
+/// A running many-peer runtime: owns the event loop thread (listener and
+/// every session) and one core thread per shard.
 pub struct Server {
     shared: Arc<Shared>,
+    wake: Arc<Waker>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
     cores: Vec<JoinHandle<()>>,
 }
 
@@ -106,13 +124,14 @@ impl Server {
         let listener = TcpListener::bind(("127.0.0.1", cfg.bind_port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (wake, wake_rx) = poll::waker()?;
 
         let epoch = Instant::now();
         let latency = Arc::new(Histogram::new());
         let mut cores = Vec::new();
+        let mut queued = Vec::new();
         let mut core_handles = Vec::new();
         for shard in 0..cfg.shards.max(1) {
-            let (tx, rx) = mpsc::channel();
             let core_cfg = CoreConfig {
                 dut: cfg.dut,
                 asn: cfg.asn,
@@ -123,31 +142,42 @@ impl Server {
                 slots: cfg.max_sessions,
                 metrics: cfg.metrics,
             };
-            core_handles.push(daemon_core::spawn(core_cfg, rx, Arc::clone(&latency), epoch));
-            cores.push(tx);
+            let (queue, handle) =
+                daemon_core::spawn(core_cfg, Arc::clone(&latency), epoch, Arc::clone(&wake));
+            cores.push(queue.tx);
+            queued.push(queue.queued);
+            core_handles.push(handle);
         }
 
         let shared = Arc::new(Shared {
-            free_slots: Mutex::new((0..cfg.max_sessions).rev().collect()),
             cfg,
             cores,
             stop: AtomicBool::new(false),
-            epoch,
             latency,
-            established_peak: AtomicU64::new(0),
-            established_now: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            queue_high_water: AtomicUsize::new(0),
         });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("xbgp-accept".into())
-                .spawn(move || accept_loop(listener, shared))
-                .expect("spawn accept thread")
+        let event_loop = EventLoop {
+            free_slots: (0..shared.cfg.max_sessions).rev().collect(),
+            shared: Arc::clone(&shared),
+            listener,
+            wake: wake_rx,
+            queued,
+            sessions: Vec::new(),
+            epoch,
         };
+        let event_loop = std::thread::Builder::new()
+            .name("xbgp-loop".into())
+            .spawn(move || event_loop.run())
+            .expect("spawn event loop thread");
 
-        Ok(Server { shared, addr, accept: Some(accept), cores: core_handles })
+        Ok(Server {
+            shared,
+            wake,
+            addr,
+            event_loop: Some(event_loop),
+            cores: core_handles,
+        })
     }
 
     /// Address peers connect to.
@@ -228,14 +258,15 @@ impl Server {
         most
     }
 
-    /// Peak concurrent sessions the edge FSMs reached Established.
-    pub fn established_peak(&self) -> u64 {
-        self.shared.established_peak.load(Ordering::Relaxed)
-    }
-
     /// Connections dropped because all session slots were taken.
     pub fn rejected(&self) -> u64 {
         self.shared.rejected.load(Ordering::Relaxed)
+    }
+
+    /// Most frame batches any core had queued at once; never above
+    /// [`CORE_QUEUE`].
+    pub fn core_queue_high_water(&self) -> usize {
+        self.shared.queue_high_water.load(Ordering::Relaxed)
     }
 
     /// Socket-to-RIB propagation latency histogram (ns).
@@ -243,20 +274,21 @@ impl Server {
         self.shared.latency.snapshot()
     }
 
-    /// Stop accepting, close cores, join all runtime threads. Session
-    /// threads exit on their own when peers disconnect or their reads
-    /// time out against the stop flag.
+    /// Close every session (Cease), stop the cores and join every runtime
+    /// thread.
     pub fn shutdown(mut self) {
+        self.stop();
+    }
+
+    fn stop(&mut self) {
+        let Some(event_loop) = self.event_loop.take() else {
+            return;
+        };
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Give lingering sessions a moment to observe the stop flag and
-        // send their SessionDown before the cores go away.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while self.shared.established_now.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.wake.wake();
+        // The loop sends every session's SessionDown before it exits, so
+        // the cores see them ahead of Shutdown.
+        let _ = event_loop.join();
         for core in &self.shared.cores {
             let _ = core.send(CoreMsg::Shutdown);
         }
@@ -266,149 +298,282 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let slot = shared.free_slots.lock().expect("slot lock").pop();
-                match slot {
-                    Some(slot) => {
-                        let shared = Arc::clone(&shared);
-                        let _ = std::thread::Builder::new()
-                            .name(format!("xbgp-sess-{slot}"))
-                            .stack_size(256 * 1024)
-                            .spawn(move || session_thread(stream, slot, shared));
-                    }
-                    None => {
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
-/// One TCP peer: run the edge FSM against the socket, fan validated
-/// UPDATE frames into the shard cores, write core outbox frames back.
-fn session_thread(mut stream: TcpStream, slot: usize, shared: Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
+/// One TCP peer as the loop holds it.
+struct Sess {
+    conn: Conn,
+    slot: usize,
+    /// Where the cores put this session's exports; set at Established.
+    outbox: Option<Receiver<Vec<u8>>>,
+    /// A batch (at most one message per core) that a full core queue
+    /// refused. The socket is not read until it has been handed over.
+    parked: Vec<(usize, CoreMsg)>,
+    /// Set once the session is over: the socket stays open, write-only,
+    /// until its out buffer empties or this deadline passes.
+    linger_until: Option<u64>,
+}
 
-    let now = |shared: &Shared| shared.epoch.elapsed().as_nanos() as u64;
-    let mut fsm = Session::new(SessionConfig {
-        local_asn: shared.cfg.asn,
-        router_id: shared.cfg.router_id,
-        hold_time_secs: shared.cfg.hold_time_secs,
-        expect_asn: Some(shared.cfg.peer_asn),
-    });
-    let (outbox_tx, outbox_rx) = mpsc::channel::<Vec<u8>>();
-    let mut up = false;
-    let mut buf = [0u8; 16 * 1024];
-    let mut alive = true;
-    // Frames validated by the FSM this wakeup, flushed to cores in batch.
-    let mut updates: Vec<Vec<u8>> = Vec::new();
-    let mut recv_ns = 0u64;
-    let mut write_backlog: VecDeque<Vec<u8>> = VecDeque::new();
+impl Sess {
+    /// Done lingering: the last frames are written, or the time is up.
+    fn finished(&self, now: u64) -> bool {
+        self.linger_until.is_some_and(|t| self.conn.pending() == 0 || now >= t)
+    }
+}
 
-    for ev in fsm.start(now(&shared)) {
-        if let SessionEvent::Send(bytes) = ev {
-            if stream.write_all(&bytes).is_err() {
-                alive = false;
-            }
-        }
+struct EventLoop {
+    shared: Arc<Shared>,
+    listener: TcpListener,
+    wake: WakeRx,
+    /// Per core: frame batches queued and not yet taken.
+    queued: Vec<Arc<AtomicUsize>>,
+    sessions: Vec<Sess>,
+    free_slots: Vec<usize>,
+    epoch: Instant,
+}
+
+impl EventLoop {
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 
-    'session: while alive {
-        // Drain inbound to empty before writing — see the deadlock note
-        // in [`crate::client`]; the same two rules apply on this side.
+    fn run(mut self) {
+        let mut fds = Vec::new();
         let mut events = Vec::new();
         loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break 'session,
-                Ok(n) => {
-                    if events.is_empty() {
-                        recv_ns = now(&shared);
-                    }
-                    events.extend(fsm.on_bytes(recv_ns, &buf[..n]));
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break 'session,
+            fds.clear();
+            fds.push(self.wake.poll_fd());
+            fds.push(PollFd::new(&self.listener, POLLIN));
+            let mut deadline: Option<u64> = None;
+            for s in &self.sessions {
+                fds.push(s.conn.poll_fd(s.linger_until.is_none() && s.parked.is_empty()));
+                let next = s.linger_until.or_else(|| s.conn.next_deadline());
+                deadline = match (deadline, next) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
             }
-        }
-        events.extend(fsm.tick(now(&shared)));
-        if shared.stop.load(Ordering::Relaxed)
-            && !matches!(fsm.state(), xbgp_wire::SessionState::Closed)
-        {
-            events.extend(fsm.shutdown());
-        }
-
-        for ev in events {
-            match ev {
-                SessionEvent::Send(bytes) => {
-                    if stream.write_all(&bytes).is_err() {
-                        break 'session;
-                    }
-                }
-                SessionEvent::Established { .. } => {
-                    for core in &shared.cores {
-                        let _ = core.send(CoreMsg::SessionUp { slot, outbox: outbox_tx.clone() });
-                    }
-                    up = true;
-                    shared.established_now.fetch_add(1, Ordering::Relaxed);
-                    let n = shared.established_now.load(Ordering::Relaxed);
-                    shared.established_peak.fetch_max(n, Ordering::Relaxed);
-                }
-                SessionEvent::Update(frame) => updates.push(frame),
-                SessionEvent::Closed(_) => {
-                    // NOTIFICATION (if any) was already emitted as Send.
-                    alive = false;
-                }
-            }
-        }
-
-        if !updates.is_empty() && up {
-            fan_out(&shared, slot, std::mem::take(&mut updates), recv_ns);
-        }
-        updates.clear();
-
-        // Drain the core outbox into a local queue, then write a bounded
-        // burst — the same anti-deadlock rule the client follows.
-        while let Ok(frame) = outbox_rx.try_recv() {
-            write_backlog.push_back(frame);
-        }
-        for _ in 0..WRITE_BURST {
-            let Some(frame) = write_backlog.pop_front() else {
+            if poll::wait(&mut fds, poll::timeout_ms(deadline, self.now())).is_err() {
                 break;
-            };
-            if stream.write_all(&frame).is_err() {
-                break 'session;
+            }
+
+            if fds[0].readable() {
+                // Drain, then rearm, then look at the work: see `Rearm`.
+                self.wake.drain().rearm();
+                if self.shared.stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                self.resume_parked();
+                self.collect_exports();
+            }
+            let now = self.now();
+            for (i, pfd) in fds[2..].iter().enumerate() {
+                self.service(i, pfd, now, &mut events);
+            }
+            let mut i = 0;
+            while i < self.sessions.len() {
+                if self.sessions[i].finished(now) {
+                    let gone = self.sessions.swap_remove(i);
+                    self.free_slots.push(gone.slot);
+                } else {
+                    i += 1;
+                }
+            }
+            if fds[1].readable() {
+                self.accept(now);
+            }
+        }
+        self.close_all();
+    }
+
+    /// One session's share of a loop pass: read and run the FSM, fire
+    /// due timers, hand validated UPDATEs to the cores, write.
+    fn service(&mut self, i: usize, pfd: &PollFd, now: u64, events: &mut Vec<SessionEvent>) {
+        let sess = &mut self.sessions[i];
+        if sess.linger_until.is_none() {
+            let mut open = true;
+            // A parked session is not read (it may still see a hang-up).
+            if pfd.readable() && sess.parked.is_empty() {
+                open = matches!(sess.conn.read(now, events), Ok(true));
+            }
+            if sess.conn.next_deadline().is_some_and(|d| d <= now) {
+                sess.conn.tick(now, events);
+            }
+            let mut frames = Vec::new();
+            for ev in events.drain(..) {
+                match ev {
+                    SessionEvent::Established { .. } => session_up(sess, &self.shared),
+                    SessionEvent::Update(frame) => frames.push(frame),
+                    // The NOTIFICATION, if any, is already queued.
+                    SessionEvent::Closed(_) => open = false,
+                    SessionEvent::Send(_) => unreachable!("Conn queues its own sends"),
+                }
+            }
+            if !frames.is_empty() && sess.outbox.is_some() {
+                let batch = split_batch(self.shared.cores.len(), sess.slot, frames, now);
+                offer(sess, batch, &self.shared, &self.queued);
+            }
+            if !open {
+                self.close(i, now);
+            }
+        }
+        let sess = &mut self.sessions[i];
+        if sess.conn.pending() > 0 && sess.conn.flush().is_err() {
+            if sess.linger_until.is_none() {
+                self.close(i, now);
+            }
+            self.sessions[i].linger_until = Some(now);
+            self.sessions[i].conn.discard_unsent();
+        }
+    }
+
+    /// End session `i` at the edge: tell the cores, drop what it had
+    /// parked, and leave the socket write-only for its last frames.
+    fn close(&mut self, i: usize, now: u64) {
+        let sess = &mut self.sessions[i];
+        if sess.outbox.take().is_some() {
+            for core in &self.shared.cores {
+                let _ = core.send(CoreMsg::SessionDown { slot: sess.slot });
+            }
+        }
+        sess.parked.clear();
+        sess.linger_until = Some(now + LINGER_NS);
+    }
+
+    /// Retry the batches that full core queues refused (a core woke us
+    /// after taking from a full queue).
+    fn resume_parked(&mut self) {
+        for sess in &mut self.sessions {
+            if !sess.parked.is_empty() {
+                let batch = std::mem::take(&mut sess.parked);
+                offer(sess, batch, &self.shared, &self.queued);
             }
         }
     }
 
-    if up {
-        shared.established_now.fetch_sub(1, Ordering::Relaxed);
-        for core in &shared.cores {
-            let _ = core.send(CoreMsg::SessionDown { slot });
+    /// Move every frame the cores exported into its session's out buffer;
+    /// close any session that has let more than [`OUT_CAP`] pile up.
+    fn collect_exports(&mut self) {
+        let now = self.now();
+        for i in 0..self.sessions.len() {
+            let sess = &mut self.sessions[i];
+            let Some(outbox) = &sess.outbox else {
+                continue;
+            };
+            while let Ok(frame) = outbox.try_recv() {
+                sess.conn.queue(frame);
+            }
+            if sess.conn.pending() > OUT_CAP {
+                // The peer is not reading: what is queued will never be
+                // useful, so put the NOTIFICATION right behind the frame
+                // already on the wire.
+                sess.conn.discard_unsent();
+                let cease = Message::Notification(NotificationMsg::new(6, 8));
+                sess.conn.queue(cease.encode(4).expect("NOTIFICATION encodes"));
+                self.close(i, now);
+            }
         }
     }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    shared.free_slots.lock().expect("slot lock").push(slot);
+
+    /// Take every pending connection: start its FSM in a free slot, or
+    /// drop it when all slots are taken.
+    fn accept(&mut self, now: u64) {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // WouldBlock: none left. Anything else (e.g. out of file
+                // descriptors) is retried on the next readable pass.
+                Err(_) => return,
+            };
+            let Some(slot) = self.free_slots.pop() else {
+                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            let cfg = &self.shared.cfg;
+            let fsm = SessionConfig {
+                local_asn: cfg.asn,
+                router_id: cfg.router_id,
+                hold_time_secs: cfg.hold_time_secs,
+                expect_asn: Some(cfg.peer_asn),
+            };
+            let Ok(mut conn) = Conn::new(stream, fsm) else {
+                self.free_slots.push(slot);
+                continue;
+            };
+            conn.start(now);
+            let _ = conn.flush();
+            self.sessions.push(Sess {
+                conn,
+                slot,
+                outbox: None,
+                parked: Vec::new(),
+                linger_until: None,
+            });
+        }
+    }
+
+    /// Shutdown: Cease on every session still open, then SessionDown to
+    /// the cores.
+    fn close_all(&mut self) {
+        let now = self.now();
+        for i in 0..self.sessions.len() {
+            let sess = &mut self.sessions[i];
+            if sess.linger_until.is_none() {
+                sess.conn.discard_unsent();
+                sess.conn.shutdown();
+                self.close(i, now);
+            }
+            let _ = self.sessions[i].conn.flush();
+        }
+    }
 }
 
-/// Send a batch of validated UPDATE frames to the core(s) that own their
-/// prefixes, preserving per-prefix arrival order.
-fn fan_out(shared: &Shared, slot: usize, frames: Vec<Vec<u8>>, recv_ns: u64) {
-    let shards = shared.cores.len();
+/// The edge FSM reached Established: give the session an outbox and bring
+/// its slot up on every core.
+fn session_up(sess: &mut Sess, shared: &Shared) {
+    let (tx, rx) = mpsc::channel();
+    for core in &shared.cores {
+        let _ = core.send(CoreMsg::SessionUp { slot: sess.slot, outbox: tx.clone() });
+    }
+    sess.outbox = Some(rx);
+}
+
+/// Hand each `(core, message)` of a batch to its core, or park it on the
+/// session if that core already holds [`CORE_QUEUE`] batches.
+fn offer(
+    sess: &mut Sess,
+    batch: Vec<(usize, CoreMsg)>,
+    shared: &Shared,
+    queued: &[Arc<AtomicUsize>],
+) {
+    for (k, msg) in batch {
+        // Only this thread increments, so the check cannot be overtaken;
+        // the core only ever lowers the count.
+        if queued[k].load(Ordering::SeqCst) >= CORE_QUEUE {
+            sess.parked.push((k, msg));
+            continue;
+        }
+        let depth = queued[k].fetch_add(1, Ordering::SeqCst) + 1;
+        shared.queue_high_water.fetch_max(depth, Ordering::Relaxed);
+        let _ = shared.cores[k].send(msg);
+    }
+}
+
+/// Cut a session's validated UPDATE frames into one message per core that
+/// owns some of their prefixes, preserving per-prefix arrival order.
+fn split_batch(
+    shards: usize,
+    slot: usize,
+    frames: Vec<Vec<u8>>,
+    recv_ns: u64,
+) -> Vec<(usize, CoreMsg)> {
     if shards == 1 {
-        let _ = shared.cores[0].send(CoreMsg::Frames { slot, frames, recv_ns });
-        return;
+        return vec![(0, CoreMsg::Frames { slot, frames, recv_ns })];
     }
     let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
     for frame in &frames {
@@ -426,9 +591,10 @@ fn fan_out(shared: &Shared, slot: usize, frames: Vec<Vec<u8>>, recv_ns: u64) {
             Err(_) => continue,
         }
     }
-    for (k, frames) in per_shard.into_iter().enumerate() {
-        if !frames.is_empty() {
-            let _ = shared.cores[k].send(CoreMsg::Frames { slot, frames, recv_ns });
-        }
-    }
+    per_shard
+        .into_iter()
+        .enumerate()
+        .filter(|(_, frames)| !frames.is_empty())
+        .map(|(k, frames)| (k, CoreMsg::Frames { slot, frames, recv_ns }))
+        .collect()
 }
