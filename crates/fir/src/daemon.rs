@@ -17,7 +17,7 @@ use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind, NO_EXT, NO
 use xbgp_obs::{Histogram, Snapshot};
 use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
 use xbgp_wire::attr::encode_attrs;
-use xbgp_wire::{Ipv4Prefix, Message, NotificationMsg, OpenMsg, UpdateMsg};
+use xbgp_wire::{Ipv4Prefix, Message, NotificationMsg, OpenMsg, UpdateMsg, MAX_MSG_LEN};
 
 /// Counters and timestamps the harness reads off a daemon.
 #[derive(Debug, Default, Clone)]
@@ -358,7 +358,7 @@ impl FirDaemon {
 
     /// Marshal a [`PeerInfo`]-shaped blob describing a route's *source*
     /// (passed as argument 0 to the outbound-filter and encode points).
-    fn source_info_bytes(&self, src: &RouteSource) -> Vec<u8> {
+    fn source_info_bytes(&self, src: &RouteSource) -> [u8; api::PEER_INFO_SIZE] {
         let mut flags = 0;
         if src.rr_client {
             flags |= api::PEER_FLAG_RR_CLIENT;
@@ -374,7 +374,7 @@ impl FirDaemon {
             local_asn: self.cfg.asn,
             flags,
         };
-        pi.to_bytes().to_vec()
+        pi.to_bytes()
     }
 
     fn igp_metric_to(&self, nexthop: u32) -> u32 {
@@ -467,7 +467,7 @@ impl FirDaemon {
         ctx: &mut NodeCtx<'_>,
         idx: usize,
         upd: UpdateMsg,
-        raw_body: Vec<u8>,
+        raw_body: &[u8],
     ) {
         self.stats.updates_rx += 1;
         if self.stats.first_update_rx.is_none() {
@@ -534,7 +534,7 @@ impl FirDaemon {
         idx: usize,
         mut attrs: FirAttrs,
         nlri: &[Ipv4Prefix],
-        raw_body: Vec<u8>,
+        raw_body: &[u8],
         pending_per_peer: &mut [OutboundBatches],
     ) {
         let peer_info = self.peer_info_for(idx);
@@ -544,7 +544,7 @@ impl FirDaemon {
         // may attach attributes to the routes being parsed.
         if self.vmm.has_extensions(InsertionPoint::BgpReceiveMessage) {
             let t0 = self.hook_start();
-            let hook_args = [raw_body.as_slice()];
+            let hook_args = [raw_body];
             let mut hctx = FirXbgpCtx {
                 peer: peer_info,
                 args: &hook_args,
@@ -987,7 +987,7 @@ impl FirDaemon {
             let nexthop = self.nexthop_info(&entry.attrs);
             let src_bytes = self.source_info_bytes(src);
             let t0 = self.hook_start();
-            let hook_args = [src_bytes.as_slice()];
+            let hook_args = [&src_bytes[..]];
             let mut hctx = FirXbgpCtx {
                 peer: peer_info,
                 args: &hook_args,
@@ -1029,7 +1029,41 @@ impl FirDaemon {
             return;
         }
 
-        // Mechanism: transform attributes for the session type.
+        // Mechanism: transform attributes for the session type — once per
+        // (source set, route source) per batch; the memo hands every later
+        // route of the group the same interned set and batch slot.
+        let key = (Rc::as_ptr(&entry.attrs) as usize, *src);
+        let (transformed, batch) = match out.memo.get(&key) {
+            Some(m) => (Rc::clone(&m.attrs), m.batch),
+            None => {
+                let t = self.export_attrs(dest_type, entry);
+                let m = Exported {
+                    _source: Rc::clone(&entry.attrs),
+                    attrs: Rc::clone(&t),
+                    batch: None,
+                };
+                out.memo.insert(key, m);
+                (t, None)
+            }
+        };
+        if self.adj_out[q].advertise(prefix, Rc::clone(&transformed)) {
+            if let Some(t) = self.vmm.tracer_mut() {
+                t.record(
+                    TraceKind::Propagate,
+                    NO_POINT,
+                    NO_EXT,
+                    pack_prefix(prefix.addr(), prefix.len()),
+                    q as u64,
+                );
+            }
+            out.push(key, batch, prefix, transformed);
+        }
+    }
+
+    /// The attribute set `entry` is advertised with to a `dest_type`
+    /// peer, interned.
+    fn export_attrs(&mut self, dest_type: PeerType, entry: &RibEntry) -> Rc<FirAttrs> {
+        let src = &entry.source;
         let mut a = (*entry.attrs).clone();
         match dest_type {
             PeerType::Ebgp => {
@@ -1054,19 +1088,7 @@ impl FirDaemon {
                 }
             }
         }
-        let transformed = self.intern.intern(a);
-        if self.adj_out[q].advertise(prefix, Rc::clone(&transformed)) {
-            if let Some(t) = self.vmm.tracer_mut() {
-                t.record(
-                    TraceKind::Propagate,
-                    NO_POINT,
-                    NO_EXT,
-                    pack_prefix(prefix.addr(), prefix.len()),
-                    q as u64,
-                );
-            }
-            out.push(prefix, transformed, *src);
-        }
+        self.intern.intern(a)
     }
 
     /// Native (no-extension) export policy decision.
@@ -1086,17 +1108,24 @@ impl FirDaemon {
         }
     }
 
-    /// Send the queued batches for peer `q`.
+    /// Send the queued batches for peer `q`, each frame written into one
+    /// reused buffer.
     fn flush_outbound(&mut self, ctx: &mut NodeCtx<'_>, q: usize, pending: OutboundBatches) {
         if !self.sessions[q].is_established() {
             return;
         }
+        let width = self.sessions[q].asn_width();
+        let link = self.sessions[q].cfg.link;
+        let mut frame = Vec::with_capacity(MAX_MSG_LEN);
         // Withdrawals: batches of up to ~800 prefixes.
         for chunk in pending.withdrawals.chunks(800) {
-            let upd = UpdateMsg::withdraw(chunk.to_vec());
             self.stats.updates_tx += 1;
             self.stats.withdrawals_tx += chunk.len() as u64;
-            self.send_msg(ctx, q, &Message::Update(upd));
+            frame.clear();
+            match UpdateMsg::write_frame(&mut frame, chunk, &[], &[], &[], width) {
+                Ok(()) => ctx.send(link, &frame),
+                Err(e) => self.logs.push(format!("encode error to peer {q}: {e}")),
+            }
         }
         let encode_ext = self.vmm.has_extensions(InsertionPoint::BgpEncodeMessage);
         for batch in pending.batches {
@@ -1107,7 +1136,7 @@ impl FirDaemon {
                 let peer_info = self.peer_info_for(q);
                 let src_bytes = self.source_info_bytes(&batch.source);
                 let t0 = self.hook_start();
-                let hook_args = [src_bytes.as_slice()];
+                let hook_args = [&src_bytes[..]];
                 let mut hctx = FirXbgpCtx {
                     peer: peer_info,
                     args: &hook_args,
@@ -1123,15 +1152,14 @@ impl FirDaemon {
                 let _ = self.vmm.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
                 self.hook_end(InsertionPoint::BgpEncodeMessage, t0);
             }
-            let width = self.sessions[q].asn_width();
             // NLRI chunks sized to stay under the 4096-byte frame.
             for chunk in batch.prefixes.chunks(700) {
-                let upd = UpdateMsg::announce(wire_attrs.clone(), chunk.to_vec());
-                match upd.encode_with_extra(&extra, width) {
-                    Ok(frame) => {
+                frame.clear();
+                match UpdateMsg::write_frame(&mut frame, &[], &wire_attrs, &extra, chunk, width) {
+                    Ok(()) => {
                         self.stats.updates_tx += 1;
                         self.stats.prefixes_tx += chunk.len() as u64;
-                        ctx.send(self.sessions[q].cfg.link, &frame);
+                        ctx.send(link, &frame);
                     }
                     Err(e) => self.logs.push(format!("encode to peer {q} failed: {e}")),
                 }
@@ -1155,7 +1183,7 @@ impl FirDaemon {
         self.sessions[idx].last_recv = ctx.now();
         let width = self.sessions[idx].asn_width();
         let decoded = match xbgp_wire::msg::deframe(&frame) {
-            Ok((ty, body)) => Message::decode_body(ty, body, width).map(|m| (m, body.to_vec())),
+            Ok((ty, body)) => Message::decode_body(ty, body, width).map(|m| (m, body)),
             Err(e) => Err(e),
         };
         let (msg, body) = match decoded {
@@ -1203,13 +1231,30 @@ impl FirDaemon {
     }
 }
 
-/// Outgoing routes grouped by (attribute set, route source) so each group
-/// becomes one UPDATE (modulo NLRI chunking).
+/// One destination peer's outgoing routes for the current batch, grouped
+/// by (attribute set, route source) so each group becomes one UPDATE
+/// (modulo NLRI chunking), plus the batch's export memo.
 #[derive(Default)]
 struct OutboundBatches {
     batches: Vec<Batch>,
     index: HashMap<(usize, u32), usize>,
     withdrawals: Vec<Ipv4Prefix>,
+    /// Export memo, keyed by (address of the source attribute set, route
+    /// source): the transform depends on nothing else for a fixed
+    /// destination. Lives exactly as long as the batch.
+    memo: HashMap<MemoKey, Exported>,
+}
+
+type MemoKey = (usize, RouteSource);
+
+/// A memoised export: the transformed, interned set and the batch its
+/// routes join (`None` until the first of them is queued).
+struct Exported {
+    /// Holds the keyed source set alive, so its address cannot be freed
+    /// and reused by another set while the memo lives.
+    _source: Rc<FirAttrs>,
+    attrs: Rc<FirAttrs>,
+    batch: Option<usize>,
 }
 
 struct Batch {
@@ -1219,15 +1264,35 @@ struct Batch {
 }
 
 impl OutboundBatches {
-    fn push(&mut self, prefix: Ipv4Prefix, attrs: Rc<FirAttrs>, source: RouteSource) {
-        let key = (Rc::as_ptr(&attrs) as usize, source.peer_addr);
-        match self.index.get(&key) {
-            Some(&i) => self.batches[i].prefixes.push(prefix),
+    /// Queue `prefix` under the memo entry `key`. A known `batch` is a
+    /// plain push; otherwise the batch is found (another memo entry may
+    /// have opened it) or opened, and remembered for the entry.
+    fn push(
+        &mut self,
+        key: MemoKey,
+        batch: Option<usize>,
+        prefix: Ipv4Prefix,
+        attrs: Rc<FirAttrs>,
+    ) {
+        let i = match batch {
+            Some(i) => i,
             None => {
-                self.index.insert(key, self.batches.len());
-                self.batches.push(Batch { attrs, source, prefixes: vec![prefix] });
+                let source = key.1;
+                let next = self.batches.len();
+                let i = *self
+                    .index
+                    .entry((Rc::as_ptr(&attrs) as usize, source.peer_addr))
+                    .or_insert(next);
+                if i == next {
+                    self.batches.push(Batch { attrs, source, prefixes: Vec::new() });
+                }
+                if let Some(m) = self.memo.get_mut(&key) {
+                    m.batch = Some(i);
+                }
+                i
             }
-        }
+        };
+        self.batches[i].prefixes.push(prefix);
     }
 
     fn is_empty(&self) -> bool {

@@ -18,7 +18,7 @@ use xbgp_rib::PrefixMap;
 use xbgp_wire::Ipv4Prefix;
 
 /// Where a route was learned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteSource {
     /// Neighbor address / BGP identifier, or the router's own id for
     /// locally originated routes.

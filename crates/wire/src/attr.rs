@@ -379,11 +379,23 @@ impl PathAttr {
         }
     }
 
-    /// Encode the full TLV (flags, code, length, body).
+    /// Encode the full TLV (flags, code, length, body) straight into
+    /// `out`: the body is written behind a one-octet length that is
+    /// patched afterwards, and widened to the extended two-octet form in
+    /// place when the body outgrows 255 octets. Same bytes as
+    /// [`encode_attr_tlv`] over [`PathAttr::encode_body`].
     pub fn encode(&self, out: &mut Vec<u8>, asn_width: usize) {
-        let mut body = Vec::new();
-        self.encode_body(&mut body, asn_width);
-        encode_attr_tlv(out, self.flags(), self.code(), &body);
+        let at = out.len();
+        out.extend_from_slice(&[self.flags().0 & !AttrFlags::EXT_LEN, self.code(), 0]);
+        self.encode_body(out, asn_width);
+        let len = out.len() - at - 3;
+        if len > 255 {
+            out[at] |= AttrFlags::EXT_LEN;
+            out.insert(at + 2, 0);
+            out[at + 2..at + 4].copy_from_slice(&(len as u16).to_be_bytes());
+        } else {
+            out[at + 2] = len as u8;
+        }
     }
 
     /// Decode one attribute from a raw view.
@@ -791,6 +803,25 @@ mod tests {
         #[test]
         fn prop_attr_round_trip(attr in arb_attr()) {
             prop_assert_eq!(round_trip(attr.clone()), attr);
+        }
+
+        #[test]
+        fn prop_in_place_encode_matches_tlv_of_body(
+            attr in arb_attr(),
+            lead in proptest::collection::vec(any::<u8>(), 0..8),
+            wide in any::<bool>(),
+        ) {
+            // The in-place writer (patched length, widened past 255
+            // octets) must reproduce the reference TLV byte for byte,
+            // wherever in the buffer it starts.
+            let width = if wide { 4 } else { 2 };
+            let mut body = Vec::new();
+            attr.encode_body(&mut body, width);
+            let mut want = lead.clone();
+            encode_attr_tlv(&mut want, attr.flags(), attr.code(), &body);
+            let mut got = lead;
+            attr.encode(&mut got, width);
+            prop_assert_eq!(got, want);
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! BGP message framing and the four RFC 4271 message types.
 
-use crate::attr::{decode_attrs, encode_attrs, PathAttr};
+use crate::attr::{decode_attrs, PathAttr};
 use crate::capability::Capability;
 use crate::error::WireError;
 use crate::prefix::Ipv4Prefix;
@@ -173,19 +173,54 @@ impl UpdateMsg {
         UpdateMsg { withdrawn, attrs: Vec::new(), nlri: Vec::new() }
     }
 
-    fn encode_body(&self, out: &mut Vec<u8>, asn_width: usize) {
-        let mut wd = Vec::new();
-        for p in &self.withdrawn {
-            p.encode(&mut wd);
-        }
-        out.extend_from_slice(&(wd.len() as u16).to_be_bytes());
-        out.extend_from_slice(&wd);
-        let attrs = encode_attrs(&self.attrs, asn_width);
-        out.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
-        out.extend_from_slice(&attrs);
-        for p in &self.nlri {
+    /// Append one complete UPDATE frame (header included) to `out`.
+    ///
+    /// This is the only UPDATE encoder: [`Message::encode`] and both
+    /// daemons' flush paths call it with borrowed slices. Every section
+    /// is written in place behind a zeroed length that is patched once
+    /// the section is done, so nothing is built twice. `extra_attr_tlvs`
+    /// are pre-encoded raw attribute TLVs (written by xBGP extensions at
+    /// the encode-message insertion point) appended to the attribute
+    /// section after `attrs`. A frame over [`MAX_MSG_LEN`] leaves `out`
+    /// as it was and returns [`WireError::TooLong`].
+    pub fn write_frame(
+        out: &mut Vec<u8>,
+        withdrawn: &[Ipv4Prefix],
+        attrs: &[PathAttr],
+        extra_attr_tlvs: &[u8],
+        nlri: &[Ipv4Prefix],
+        asn_width: usize,
+    ) -> Result<(), WireError> {
+        let start = out.len();
+        out.extend_from_slice(&[0xff; 16]);
+        out.extend_from_slice(&[0, 0, MsgType::Update as u8]);
+        let wd_at = out.len();
+        out.extend_from_slice(&[0, 0]);
+        for p in withdrawn {
             p.encode(out);
         }
+        let attr_at = out.len();
+        out.extend_from_slice(&[0, 0]);
+        for a in attrs {
+            a.encode(out, asn_width);
+        }
+        out.extend_from_slice(extra_attr_tlvs);
+        let nlri_at = out.len();
+        for p in nlri {
+            p.encode(out);
+        }
+        let total = out.len() - start;
+        if total > MAX_MSG_LEN {
+            out.truncate(start);
+            return Err(WireError::TooLong(total));
+        }
+        let mut patch = |at: usize, len: usize| {
+            out[at..at + 2].copy_from_slice(&(len as u16).to_be_bytes());
+        };
+        patch(start + 16, total);
+        patch(wd_at, attr_at - wd_at - 2);
+        patch(attr_at, nlri_at - attr_at - 2);
+        Ok(())
     }
 
     /// Decode an UPDATE body. `asn_width` reflects the session's 4-octet-AS
@@ -207,31 +242,6 @@ impl UpdateMsg {
         let attrs = decode_attrs(&buf[at + 2..at + 2 + attr_len], asn_width)?;
         let nlri = Ipv4Prefix::decode_run(&buf[at + 2 + attr_len..])?;
         Ok(UpdateMsg { withdrawn, attrs, nlri })
-    }
-
-    /// Encode a complete UPDATE frame whose attribute section additionally
-    /// carries `extra_attr_tlvs` — pre-encoded raw attribute TLVs written
-    /// by xBGP extensions at the encode-message insertion point.
-    pub fn encode_with_extra(
-        &self,
-        extra_attr_tlvs: &[u8],
-        asn_width: usize,
-    ) -> Result<Vec<u8>, WireError> {
-        let mut body = Vec::new();
-        let mut wd = Vec::new();
-        for p in &self.withdrawn {
-            p.encode(&mut wd);
-        }
-        body.extend_from_slice(&(wd.len() as u16).to_be_bytes());
-        body.extend_from_slice(&wd);
-        let mut attrs = encode_attrs(&self.attrs, asn_width);
-        attrs.extend_from_slice(extra_attr_tlvs);
-        body.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
-        body.extend_from_slice(&attrs);
-        for p in &self.nlri {
-            p.encode(&mut body);
-        }
-        frame(MsgType::Update, &body)
     }
 
     /// Raw byte range of the path-attribute section inside an UPDATE body,
@@ -302,7 +312,11 @@ impl Message {
         let mut body = Vec::new();
         match self {
             Message::Open(o) => o.encode_body(&mut body),
-            Message::Update(u) => u.encode_body(&mut body, asn_width),
+            Message::Update(u) => {
+                let mut out = Vec::new();
+                UpdateMsg::write_frame(&mut out, &u.withdrawn, &u.attrs, &[], &u.nlri, asn_width)?;
+                return Ok(out);
+            }
             Message::Notification(n) => {
                 body.push(n.code);
                 body.push(n.subcode);
@@ -523,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_with_extra_appends_raw_tlvs() {
+    fn write_frame_appends_raw_tlvs() {
         // The encode-message insertion point appends extension-written
         // attribute TLVs; the receiver must decode them as ordinary
         // attributes alongside the typed ones.
@@ -545,8 +559,12 @@ mod tests {
             );
             t
         };
-        let frame = u.encode_with_extra(&extra, 4).unwrap();
-        match Message::decode(&frame, 4).unwrap() {
+        let write = |extra: &[u8]| {
+            let mut out = Vec::new();
+            UpdateMsg::write_frame(&mut out, &[], &u.attrs, extra, &u.nlri, 4).unwrap();
+            out
+        };
+        match Message::decode(&write(&extra), 4).unwrap() {
             Message::Update(got) => {
                 assert_eq!(got.nlri, u.nlri);
                 assert_eq!(got.attrs.len(), 4);
@@ -562,7 +580,24 @@ mod tests {
             other => panic!("expected UPDATE, got {other:?}"),
         }
         // No extra bytes: identical to the plain encoder.
-        assert_eq!(u.encode_with_extra(&[], 4).unwrap(), Message::Update(u).encode(4).unwrap());
+        assert_eq!(write(&[]), Message::Update(u).encode(4).unwrap());
+    }
+
+    #[test]
+    fn write_frame_appends_behind_existing_bytes_and_undoes_too_long() {
+        let nlri: Vec<Ipv4Prefix> = vec!["192.0.2.0/24".parse().unwrap()];
+        let attrs = vec![PathAttr::Origin(Origin::Igp), PathAttr::NextHop(9)];
+        let mut out = vec![0xaa; 3];
+        UpdateMsg::write_frame(&mut out, &[], &attrs, &[], &nlri, 4).unwrap();
+        assert_eq!(&out[..3], &[0xaa; 3]);
+        let alone = Message::Update(UpdateMsg::announce(attrs.clone(), nlri.clone()));
+        assert_eq!(&out[3..], alone.encode(4).unwrap().as_slice());
+
+        let before = out.clone();
+        let huge = vec![0u8; MAX_MSG_LEN];
+        let err = UpdateMsg::write_frame(&mut out, &[], &attrs, &huge, &nlri, 4);
+        assert!(matches!(err, Err(WireError::TooLong(_))));
+        assert_eq!(out, before, "a rejected frame leaves the buffer as it was");
     }
 
     #[test]
@@ -653,6 +688,58 @@ mod tests {
                 }
             }
             prop_assert_eq!(got, frames);
+        }
+
+        #[test]
+        fn prop_write_frame_matches_two_pass_reference(
+            wd in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..40),
+            nlri in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..40),
+            communities in proptest::collection::vec(any::<u32>(), 0..80),
+            extra in proptest::collection::vec(any::<u8>(), 0..64),
+            path in proptest::collection::vec(any::<u32>(), 1..6),
+            wide in any::<bool>(),
+        ) {
+            // The reference builds each section in its own buffer and
+            // frames the body afterwards — the layout RFC 4271 §4.3
+            // spells out. The in-place writer must match it byte for byte.
+            let width = if wide { 4 } else { 2 };
+            let px = |v: &Vec<(u32, u8)>| -> Vec<Ipv4Prefix> {
+                v.iter().map(|&(a, l)| Ipv4Prefix::new(a, l)).collect()
+            };
+            let (wd, nlri) = (px(&wd), px(&nlri));
+            let attrs = vec![
+                PathAttr::Origin(Origin::Igp),
+                PathAttr::AsPath(AsPath::sequence(path)),
+                PathAttr::NextHop(1),
+                PathAttr::Communities(communities),
+            ];
+            let mut body = Vec::new();
+            let mut w = Vec::new();
+            for p in &wd {
+                p.encode(&mut w);
+            }
+            body.extend_from_slice(&(w.len() as u16).to_be_bytes());
+            body.extend_from_slice(&w);
+            let mut a = crate::attr::encode_attrs(&attrs, width);
+            a.extend_from_slice(&extra);
+            body.extend_from_slice(&(a.len() as u16).to_be_bytes());
+            body.extend_from_slice(&a);
+            for p in &nlri {
+                p.encode(&mut body);
+            }
+            let want = frame(MsgType::Update, &body);
+            let mut got = Vec::new();
+            let res = UpdateMsg::write_frame(&mut got, &wd, &attrs, &extra, &nlri, width);
+            match want {
+                Ok(want) => {
+                    prop_assert!(res.is_ok());
+                    prop_assert_eq!(got, want);
+                }
+                Err(e) => {
+                    prop_assert_eq!(res, Err(e));
+                    prop_assert!(got.is_empty());
+                }
+            }
         }
 
         #[test]

@@ -18,7 +18,7 @@ use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind, NO_EXT, NO
 use xbgp_obs::{Histogram, Snapshot};
 use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
 use xbgp_wire::attr::encode_attrs;
-use xbgp_wire::{Ipv4Prefix, Message, NotificationMsg, OpenMsg, UpdateMsg};
+use xbgp_wire::{Ipv4Prefix, Message, NotificationMsg, OpenMsg, UpdateMsg, MAX_MSG_LEN};
 
 /// Harness-visible counters.
 #[derive(Debug, Default, Clone)]
@@ -64,9 +64,6 @@ fn pindex(p: InsertionPoint) -> usize {
 const TK_KEEPALIVE: u64 = 0;
 const TK_HOLD: u64 = 1;
 
-/// One queued announcement: net, attrs to advertise, cached wire form.
-type TxEntry = (Ipv4Prefix, Rc<EaList>, [u8; 24]);
-
 /// The WREN BGP daemon. See the crate documentation.
 pub struct WrenDaemon {
     cfg: WrenConfig,
@@ -82,12 +79,10 @@ pub struct WrenDaemon {
     rib_counters: RibCounters,
     /// What each channel has been sent: net → advertised attrs.
     exported: Vec<HashMap<Ipv4Prefix, Rc<EaList>>>,
-    /// Per-channel pending announcements (BIRD's tx event queue): batched
-    /// into shared UPDATEs at flush points so the encode insertion point
-    /// and message framing amortize over routes sharing attributes.
-    txq: Vec<Vec<TxEntry>>,
-    /// Per-channel pending withdrawals.
-    txq_wd: Vec<Vec<Ipv4Prefix>>,
+    /// Per-channel pending exports (BIRD's tx event queue): batched into
+    /// shared UPDATEs at flush points so the encode insertion point and
+    /// message framing amortize over routes sharing attributes.
+    txq: Vec<TxQueue>,
     vmm: Vmm,
     /// WREN's native origin validation: the hash table (§3.4).
     roa: Option<RoaHashTable>,
@@ -144,8 +139,7 @@ impl WrenDaemon {
             dirty: DirtySet::new(),
             rib_counters: RibCounters::new(),
             exported: (0..n).map(|_| HashMap::new()).collect(),
-            txq: (0..n).map(|_| Vec::new()).collect(),
-            txq_wd: (0..n).map(|_| Vec::new()).collect(),
+            txq: (0..n).map(|_| TxQueue::default()).collect(),
             vmm,
             roa,
             xbgp_rov,
@@ -446,7 +440,7 @@ impl WrenDaemon {
     // Inbound
     // -----------------------------------------------------------------
 
-    fn rx_update(&mut self, ctx: &mut NodeCtx<'_>, ch: usize, upd: UpdateMsg, raw_body: Vec<u8>) {
+    fn rx_update(&mut self, ctx: &mut NodeCtx<'_>, ch: usize, upd: UpdateMsg, raw_body: &[u8]) {
         self.stats.updates_rx += 1;
         if self.stats.first_update_rx.is_none() {
             self.stats.first_update_rx = Some(ctx.now());
@@ -498,7 +492,7 @@ impl WrenDaemon {
         // ① BGP_RECEIVE_MESSAGE.
         if self.vmm.has_extensions(InsertionPoint::BgpReceiveMessage) {
             let t0 = self.hook_start();
-            let hook_args = [raw_body.as_slice()];
+            let hook_args = [raw_body];
             let mut hctx = WrenXbgpCtx {
                 peer: peer_info,
                 args: &hook_args,
@@ -826,7 +820,7 @@ impl WrenDaemon {
             return;
         }
         if self.exported[ch].remove(&net).is_some() {
-            self.txq_wd[ch].push(net);
+            self.txq[ch].withdrawals.push(net);
         }
     }
 
@@ -889,11 +883,60 @@ impl WrenDaemon {
             return;
         }
 
-        // Transform for the session type (in-place on a copy of the raw
-        // list — BIRD's export path copies the ea_list too).
-        let ibgp_dest = self.channels[ch].ibgp;
+        // Transform for the session type — once per (source list, route
+        // source) per batch: the memo hands every later route of the
+        // group the same list and group slot.
+        let key = MemoKey {
+            eattrs: Rc::as_ptr(&rte.eattrs) as usize,
+            src: rte.src,
+            src_addr: rte.src_addr,
+            src_asn: rte.src_asn,
+            src_ibgp: rte.src_ibgp,
+            src_rr_client: rte.src_rr_client,
+        };
+        let (out, src_blob, group) = match self.txq[ch].memo.get(&key) {
+            Some(m) => (Rc::clone(&m.out), m.src_blob, m.group),
+            None => {
+                let out = Rc::new(self.export_attrs(ch, rte));
+                let src_blob = self.source_info_bytes(rte);
+                let m = Exported {
+                    _source: Rc::clone(&rte.eattrs),
+                    out: Rc::clone(&out),
+                    src_blob,
+                    group: None,
+                };
+                self.txq[ch].memo.insert(key, m);
+                (out, src_blob, None)
+            }
+        };
+
+        // Suppress duplicates: the same list (a memo hit) or an equal one.
+        if self.exported[ch]
+            .get(&net)
+            .is_some_and(|prev| Rc::ptr_eq(prev, &out) || **prev == *out)
+        {
+            return;
+        }
+        self.exported[ch].insert(net, Rc::clone(&out));
+        if let Some(t) = self.vmm.tracer_mut() {
+            t.record(
+                TraceKind::Propagate,
+                NO_POINT,
+                NO_EXT,
+                pack_prefix(net.addr(), net.len()),
+                ch as u64,
+            );
+        }
+        self.txq[ch].push(key, group, net, out, src_blob);
+        let _ = ctx;
+    }
+
+    /// The attribute list `rte` is advertised with on channel `ch` (in
+    /// place on a copy of the raw list — BIRD's export path copies the
+    /// ea_list too).
+    fn export_attrs(&self, ch: usize, rte: &Rte) -> EaList {
         let mut out = (*rte.eattrs).clone();
-        if ibgp_dest {
+        if self.channels[ch].ibgp {
             if out.local_pref().is_none() {
                 out.set_local_pref(self.cfg.default_local_pref);
             }
@@ -911,73 +954,44 @@ impl WrenDaemon {
             out.unset(9);
             out.unset(10);
         }
-        let out = Rc::new(out);
-
-        // Suppress duplicates.
-        if self.exported[ch].get(&net).is_some_and(|prev| **prev == *out) {
-            return;
-        }
-        self.exported[ch].insert(net, Rc::clone(&out));
-        if let Some(t) = self.vmm.tracer_mut() {
-            t.record(
-                TraceKind::Propagate,
-                NO_POINT,
-                NO_EXT,
-                pack_prefix(net.addr(), net.len()),
-                ch as u64,
-            );
-        }
-        let src_blob = self.source_info_bytes(rte);
-        self.txq[ch].push((net, out, src_blob));
-        let _ = ctx;
+        out
     }
 
-    /// Drain one channel's tx queue: group by (attributes, source), run
-    /// the ⑤ BGP_ENCODE_MESSAGE point once per group, frame in ≤700-NLRI
-    /// chunks, send.
+    /// Drain one channel's tx queue: withdrawals, then each (attributes,
+    /// source) group in first-seen order, running the ⑤
+    /// BGP_ENCODE_MESSAGE point once per group and framing ≤700-NLRI
+    /// chunks in one reused buffer. Taking the queue also drops its
+    /// export memo, on every path.
     fn flush_channel(&mut self, ctx: &mut NodeCtx<'_>, ch: usize) {
-        if self.txq_wd[ch].is_empty() && self.txq[ch].is_empty() {
+        let q = std::mem::take(&mut self.txq[ch]);
+        if (q.withdrawals.is_empty() && q.groups.is_empty()) || !self.channels[ch].up() {
             return;
         }
-        let withdrawals = std::mem::take(&mut self.txq_wd[ch]);
-        let pending = std::mem::take(&mut self.txq[ch]);
-        if !self.channels[ch].up() {
-            return;
-        }
-        for chunk in withdrawals.chunks(800) {
-            let upd = UpdateMsg::withdraw(chunk.to_vec());
+        let width = self.channels[ch].asn_width();
+        let link = self.channels[ch].cfg.link;
+        let mut frame = Vec::with_capacity(MAX_MSG_LEN);
+        for chunk in q.withdrawals.chunks(800) {
             self.stats.updates_tx += 1;
             self.stats.withdrawals_tx += chunk.len() as u64;
-            self.tx(ctx, ch, &Message::Update(upd));
-        }
-
-        // Group by (attrs, source blob), preserving first-seen order.
-        let mut order: Vec<(Rc<EaList>, [u8; 24], Vec<Ipv4Prefix>)> = Vec::new();
-        let mut index: HashMap<(Rc<EaList>, [u8; 24]), usize> = HashMap::new();
-        for (net, out, src) in pending {
-            let key = (Rc::clone(&out), src);
-            match index.get(&key) {
-                Some(&i) => order[i].2.push(net),
-                None => {
-                    index.insert(key, order.len());
-                    order.push((out, src, vec![net]));
-                }
+            frame.clear();
+            match UpdateMsg::write_frame(&mut frame, chunk, &[], &[], &[], width) {
+                Ok(()) => ctx.send(link, &frame),
+                Err(e) => self.logs.push(format!("encode error on channel {ch}: {e}")),
             }
         }
 
         let encode_ext = self.vmm.has_extensions(InsertionPoint::BgpEncodeMessage);
-        let width = self.channels[ch].asn_width();
-        for (out, src, nets) in order {
+        for g in q.groups {
             let mut extra = Vec::new();
             if encode_ext {
                 let t0 = self.hook_start();
                 let peer_info = self.peer_info(ch);
-                let hook_args = [&src[..]];
+                let hook_args = [&g.src_blob[..]];
                 let mut hctx = WrenXbgpCtx {
                     peer: peer_info,
                     args: &hook_args,
-                    eattrs: EaAccess::Read(&out),
-                    net: nets.first().copied(),
+                    eattrs: EaAccess::Read(&g.eattrs),
+                    net: g.nets.first().copied(),
                     nexthop: None,
                     xtra: &self.cfg.xtra,
                     out_buf: Some(&mut extra),
@@ -988,14 +1002,14 @@ impl WrenDaemon {
                 let _ = self.vmm.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
                 self.hook_end(InsertionPoint::BgpEncodeMessage, t0);
             }
-            let wire = out.to_wire();
-            for chunk in nets.chunks(700) {
-                let upd = UpdateMsg::announce(wire.clone(), chunk.to_vec());
-                match upd.encode_with_extra(&extra, width) {
-                    Ok(frame) => {
+            let wire = g.eattrs.to_wire();
+            for chunk in g.nets.chunks(700) {
+                frame.clear();
+                match UpdateMsg::write_frame(&mut frame, &[], &wire, &extra, chunk, width) {
+                    Ok(()) => {
                         self.stats.updates_tx += 1;
                         self.stats.prefixes_tx += chunk.len() as u64;
-                        ctx.send(self.channels[ch].cfg.link, &frame);
+                        ctx.send(link, &frame);
                     }
                     Err(e) => self.logs.push(format!("encode failed on channel {ch}: {e}")),
                 }
@@ -1084,7 +1098,7 @@ impl WrenDaemon {
         self.channels[ch].last_rx = ctx.now();
         let width = self.channels[ch].asn_width();
         let decoded = match xbgp_wire::msg::deframe(&frame) {
-            Ok((ty, body)) => Message::decode_body(ty, body, width).map(|m| (m, body.to_vec())),
+            Ok((ty, body)) => Message::decode_body(ty, body, width).map(|m| (m, body)),
             Err(e) => Err(e),
         };
         let (msg, body) = match decoded {
@@ -1124,6 +1138,79 @@ impl WrenDaemon {
                 self.channel_down(ctx, ch);
             }
         }
+    }
+}
+
+/// One channel's pending exports for the current batch: withdrawals,
+/// announcements grouped by (attribute content, source blob) in
+/// first-seen order, and the batch's export memo.
+#[derive(Default)]
+struct TxQueue {
+    withdrawals: Vec<Ipv4Prefix>,
+    groups: Vec<TxGroup>,
+    /// Groups by content: equal lists from different `Rc`s share one
+    /// UPDATE. Hashed once per memo entry, when its first route joins.
+    index: HashMap<(Rc<EaList>, [u8; 24]), usize>,
+    memo: HashMap<MemoKey, Exported>,
+}
+
+/// Export memo key: the address of the route's attribute list and every
+/// field of its source. The transform reads `src`, `src_addr` and
+/// `src_ibgp`; the ⑤ argument blob reads all of them.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct MemoKey {
+    eattrs: usize,
+    src: SrcId,
+    src_addr: u32,
+    src_asn: u32,
+    src_ibgp: bool,
+    src_rr_client: bool,
+}
+
+/// A memoised export: the transformed list, the source blob and the
+/// group its routes join (`None` until the first of them is queued).
+struct Exported {
+    /// Holds the keyed list alive, so its address cannot be freed and
+    /// reused by another list while the memo lives.
+    _source: Rc<EaList>,
+    out: Rc<EaList>,
+    src_blob: [u8; 24],
+    group: Option<usize>,
+}
+
+struct TxGroup {
+    eattrs: Rc<EaList>,
+    src_blob: [u8; 24],
+    nets: Vec<Ipv4Prefix>,
+}
+
+impl TxQueue {
+    /// Queue `net` under the memo entry `key`. A known `group` is a plain
+    /// push; otherwise the group is found by content (another memo entry
+    /// may have opened it) or opened, and remembered for the entry.
+    fn push(
+        &mut self,
+        key: MemoKey,
+        group: Option<usize>,
+        net: Ipv4Prefix,
+        out: Rc<EaList>,
+        src_blob: [u8; 24],
+    ) {
+        let i = match group {
+            Some(i) => i,
+            None => {
+                let next = self.groups.len();
+                let i = *self.index.entry((Rc::clone(&out), src_blob)).or_insert(next);
+                if i == next {
+                    self.groups.push(TxGroup { eattrs: out, src_blob, nets: Vec::new() });
+                }
+                if let Some(m) = self.memo.get_mut(&key) {
+                    m.group = Some(i);
+                }
+                i
+            }
+        };
+        self.groups[i].nets.push(net);
     }
 }
 

@@ -15,7 +15,7 @@ use xbgp_rib::PrefixMap;
 use xbgp_wire::Ipv4Prefix;
 
 /// Identifies where a route entered the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SrcId {
     /// Channel (peer) index.
     Channel(usize),
